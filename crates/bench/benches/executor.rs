@@ -3,7 +3,7 @@
 //! policies.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nabbitc_core::{ExecOptions, StaticExecutor};
+use nabbitc_core::StaticExecutor;
 use nabbitc_graph::generate;
 use nabbitc_runtime::{Pool, PoolConfig};
 use std::sync::Arc;
@@ -18,11 +18,7 @@ fn bench_executor(c: &mut Criterion) {
         ("nabbit_4w", PoolConfig::nabbit(4)),
     ] {
         let pool = Arc::new(Pool::new(cfg));
-        let exec = StaticExecutor::new(pool).with_options(ExecOptions {
-            record_trace: false,
-            count_remote: false,
-            ..ExecOptions::default()
-        });
+        let exec = StaticExecutor::new(pool);
         let graph = graph.clone();
         g.bench_function(name, |b| {
             b.iter(|| {
@@ -52,8 +48,7 @@ fn bench_executor(c: &mut Criterion) {
         fn compute(&self, _: &Self::Key, _: usize) {}
     }
     let pool = Arc::new(Pool::new(PoolConfig::nabbitc(4)));
-    let dyn_exec =
-        nabbitc_core::DynamicExecutor::new(pool, Arc::new(Wave)).with_remote_counting(false);
+    let dyn_exec = nabbitc_core::DynamicExecutor::new(pool, Arc::new(Wave));
     g.bench_function("dynamic_wavefront_50x50", |b| {
         b.iter(|| {
             dyn_exec.execute((49, 49));

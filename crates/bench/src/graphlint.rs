@@ -19,7 +19,7 @@ use nabbitc_workloads::{registry, BenchId, Scale};
 
 /// The default lint corpus: one workload per structural family (regular
 /// stencil, 2-D wavefront, irregular power-law dataflow) — the same
-/// trio the results tables and the wallclock harness sweep.
+/// trio the results tables sweep.
 pub const CORPUS: [BenchId; 3] = [BenchId::Heat, BenchId::Sw, BenchId::PageUk2002];
 
 /// Colorings [`lint_workload`] accepts: the graph's own hand coloring,

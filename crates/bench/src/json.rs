@@ -1,14 +1,13 @@
-//! A minimal JSON value type for the wallclock harness.
+//! A minimal JSON value type for the bench harness.
 //!
 //! The workspace has no serde (external dependencies are vendored shims),
-//! and the `BENCH_*.json` schema is small and flat, so a hand-rolled
+//! and the documents checked here are small and flat, so a hand-rolled
 //! writer plus a recursive-descent parser is the whole story. The parser
-//! exists for the `--validate` mode of the wallclock binary and for tests:
-//! it accepts exactly the JSON this module's writer emits (objects,
-//! arrays, strings, finite numbers, booleans, null) — no exotic escapes
-//! beyond the standard set, no surrogate-pair decoding (`\uXXXX` is kept
-//! as the replacement character for non-BMP halves; the harness never
-//! writes any).
+//! exists for the `graphlint --json` schema checks and for tests: it
+//! accepts exactly the JSON this module's writer emits (objects, arrays,
+//! strings, finite numbers, booleans, null) — no exotic escapes beyond
+//! the standard set, no surrogate-pair decoding (`\uXXXX` is kept as the
+//! replacement character for non-BMP halves; the writers never emit any).
 
 use std::fmt::Write as _;
 
@@ -333,118 +332,6 @@ impl Parser<'_> {
     }
 }
 
-/// Validates a `BENCH_<workload>.json` document against the schema the
-/// wallclock harness emits (see the README's Observability section).
-/// Returns the list of problems; empty means valid.
-///
-/// Required shape:
-/// * top-level `schema_version` (number), `trace_schema_version` (number),
-///   `workload` (string), `scale` (string), `results` (non-empty array);
-/// * every `results` entry has numeric `p`, `serial_s`, and a non-empty
-///   `modes` array;
-/// * every mode entry has a `mode` string plus numeric `seconds` and
-///   `measured_speedup`, and numeric `predicted_speedup` unless the mode
-///   is `serial` (the baseline predicts nothing);
-/// * a `trace` object whose counters (`p`, `nodes`, `events_recorded`,
-///   `events_dropped`, `execs`, `steal_attempts`, `steal_successes`,
-///   `batch_steals`, `batch_stolen_tasks`, `arena_hits`, `arena_misses`)
-///   are all numeric — the traced run at the widest sweep point.
-pub fn validate_bench_json(doc: &Json) -> Vec<String> {
-    let mut problems = Vec::new();
-    let need_num =
-        |v: Option<&Json>, what: &str, problems: &mut Vec<String>| match v.and_then(Json::as_num) {
-            Some(n) if n.is_finite() => Some(n),
-            Some(_) => {
-                problems.push(format!("{what} is not finite"));
-                None
-            }
-            None => {
-                problems.push(format!("{what} missing or not a number"));
-                None
-            }
-        };
-
-    need_num(doc.get("schema_version"), "schema_version", &mut problems);
-    need_num(
-        doc.get("trace_schema_version"),
-        "trace_schema_version",
-        &mut problems,
-    );
-    if doc.get("workload").and_then(Json::as_str).is_none() {
-        problems.push("workload missing or not a string".to_string());
-    }
-    if doc.get("scale").and_then(Json::as_str).is_none() {
-        problems.push("scale missing or not a string".to_string());
-    }
-
-    let results = match doc.get("results").and_then(Json::as_arr) {
-        Some([]) | None => {
-            problems.push("results missing or empty".to_string());
-            return problems;
-        }
-        Some(r) => r,
-    };
-
-    for (i, entry) in results.iter().enumerate() {
-        let at = format!("results[{i}]");
-        need_num(entry.get("p"), &format!("{at}.p"), &mut problems);
-        need_num(
-            entry.get("serial_s"),
-            &format!("{at}.serial_s"),
-            &mut problems,
-        );
-        let modes = match entry.get("modes").and_then(Json::as_arr) {
-            Some([]) | None => {
-                problems.push(format!("{at}.modes missing or empty"));
-                continue;
-            }
-            Some(m) => m,
-        };
-        for (j, mode) in modes.iter().enumerate() {
-            let at = format!("{at}.modes[{j}]");
-            let name = mode.get("mode").and_then(Json::as_str);
-            if name.is_none() {
-                problems.push(format!("{at}.mode missing or not a string"));
-            }
-            need_num(mode.get("seconds"), &format!("{at}.seconds"), &mut problems);
-            need_num(
-                mode.get("measured_speedup"),
-                &format!("{at}.measured_speedup"),
-                &mut problems,
-            );
-            if name != Some("serial") {
-                need_num(
-                    mode.get("predicted_speedup"),
-                    &format!("{at}.predicted_speedup"),
-                    &mut problems,
-                );
-            }
-        }
-    }
-
-    match doc.get("trace") {
-        None => problems.push("trace missing".to_string()),
-        Some(trace) => {
-            for key in [
-                "p",
-                "nodes",
-                "events_recorded",
-                "events_dropped",
-                "execs",
-                "steal_attempts",
-                "steal_successes",
-                "batch_steals",
-                "batch_stolen_tasks",
-                "arena_hits",
-                "arena_misses",
-            ] {
-                need_num(trace.get(key), &format!("trace.{key}"), &mut problems);
-            }
-        }
-    }
-    problems
-}
-
 /// Validates one lint report document (`nabbitc_lint::LintReport::to_json`
 /// output — also each element of `graphlint --json`'s array). Returns the
 /// problems found; empty = valid.
@@ -585,58 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_the_emitted_schema() {
-        let doc = sample_doc(true);
-        assert_eq!(validate_bench_json(&doc), Vec::<String>::new());
-    }
-
-    #[test]
-    fn validator_names_missing_keys() {
-        let doc = sample_doc(false);
-        let problems = validate_bench_json(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("predicted_speedup")),
-            "{problems:?}"
-        );
-
-        let empty = Json::Obj(vec![]);
-        let problems = validate_bench_json(&empty);
-        for needle in ["schema_version", "workload", "results"] {
-            assert!(problems.iter().any(|p| p.contains(needle)), "{problems:?}");
-        }
-
-        // Dropping the trace section, or one of its hot-path counters,
-        // gets named too.
-        let mut doc = sample_doc(true);
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "trace");
-        }
-        let problems = validate_bench_json(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("trace missing")),
-            "{problems:?}"
-        );
-
-        let mut doc = sample_doc(true);
-        if let Json::Obj(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                if key == "trace" {
-                    if let Json::Obj(trace) = value {
-                        trace.retain(|(k, _)| k != "batch_stolen_tasks");
-                    }
-                }
-            }
-        }
-        let problems = validate_bench_json(&doc);
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("trace.batch_stolen_tasks")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
     fn lint_validator_accepts_a_well_formed_report() {
         assert_eq!(validate_lint_json(&sample_lint_doc()), Vec::<String>::new());
     }
@@ -716,57 +551,6 @@ mod tests {
                     ("nodes", Json::Arr(vec![Json::Num(19.0), Json::Num(178.0)])),
                     ("colors", Json::Arr(vec![Json::Num(19.0)])),
                 ])]),
-            ),
-        ])
-    }
-
-    fn sample_doc(with_predicted: bool) -> Json {
-        let mut static_mode = vec![
-            ("mode", Json::Str("static".into())),
-            ("seconds", Json::Num(0.5)),
-            ("measured_speedup", Json::Num(2.0)),
-        ];
-        if with_predicted {
-            static_mode.push(("predicted_speedup", Json::Num(2.2)));
-        }
-        Json::obj(vec![
-            ("schema_version", Json::Num(1.0)),
-            ("trace_schema_version", Json::Num(1.0)),
-            ("workload", Json::Str("heat".into())),
-            ("scale", Json::Str("Tiny".into())),
-            (
-                "results",
-                Json::Arr(vec![Json::obj(vec![
-                    ("p", Json::Num(2.0)),
-                    ("serial_s", Json::Num(1.0)),
-                    (
-                        "modes",
-                        Json::Arr(vec![
-                            Json::obj(vec![
-                                ("mode", Json::Str("serial".into())),
-                                ("seconds", Json::Num(1.0)),
-                                ("measured_speedup", Json::Num(1.0)),
-                            ]),
-                            Json::obj(static_mode),
-                        ]),
-                    ),
-                ])]),
-            ),
-            (
-                "trace",
-                Json::obj(vec![
-                    ("p", Json::Num(2.0)),
-                    ("nodes", Json::Num(16.0)),
-                    ("events_recorded", Json::Num(40.0)),
-                    ("events_dropped", Json::Num(0.0)),
-                    ("execs", Json::Num(17.0)),
-                    ("steal_attempts", Json::Num(3.0)),
-                    ("steal_successes", Json::Num(1.0)),
-                    ("batch_steals", Json::Num(1.0)),
-                    ("batch_stolen_tasks", Json::Num(2.0)),
-                    ("arena_hits", Json::Num(10.0)),
-                    ("arena_misses", Json::Num(7.0)),
-                ]),
             ),
         ])
     }

@@ -15,7 +15,6 @@ use std::io::Write as _;
 
 pub mod graphlint;
 pub mod json;
-pub mod wallclock;
 
 /// Core counts used throughout the paper's sweeps.
 pub const SWEEP_CORES: [usize; 8] = [1, 2, 4, 10, 20, 40, 60, 80];

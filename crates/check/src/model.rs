@@ -683,6 +683,54 @@ pub fn run_join_protocol(preds: usize) {
     assert_eq!(join.pending(), 0, "join counter nonzero after quiescence");
 }
 
+/// The static executor's join protocol (`static_exec.rs`): every
+/// in-degree is known before the run, so each node's counter is built
+/// already scanned (`JoinCounter::scanned(preds)`, a plain
+/// initialization published by the job hand-off — here, thread spawn)
+/// and only ever sees `notify`. Each of `preds` producer threads writes
+/// its effect (the predecessor's output) and then notifies. The
+/// invariants: exactly one `notify` reaches zero on every interleaving
+/// — W1 (never fired) and W2 (fired twice) — and the firing thread,
+/// which runs the node, reads every producer's effect.
+pub fn run_static_join(preds: usize) {
+    use loom::sync::atomic::{AtomicUsize, Ordering};
+    use nabbitc_core::JoinCounter;
+
+    let join = Arc::new(JoinCounter::scanned(preds));
+    let effects: Arc<Vec<AtomicUsize>> =
+        Arc::new((0..preds).map(|_| AtomicUsize::new(0)).collect());
+    let fired = Arc::new(AtomicUsize::new(0));
+
+    let producers: Vec<_> = (0..preds)
+        .map(|i| {
+            let (join, effects, fired) = (join.clone(), effects.clone(), fired.clone());
+            thread::spawn(move || {
+                effects[i].store(i + 1, Ordering::Relaxed);
+                if join.notify() {
+                    fired.fetch_add(1, Ordering::Relaxed);
+                    for (j, e) in effects.iter().enumerate() {
+                        assert_eq!(
+                            e.load(Ordering::Relaxed),
+                            j + 1,
+                            "static join fired before predecessor {j}'s effect was visible"
+                        );
+                    }
+                }
+            })
+        })
+        .collect();
+    for p in producers {
+        p.join().expect("producer panicked");
+    }
+    let n = fired.load(Ordering::Relaxed);
+    assert!(n != 0, "W1 violation: static join counter never fired");
+    assert_eq!(
+        n, 1,
+        "W2 violation: static join counter fired {n} times (double compute)"
+    );
+    assert_eq!(join.pending(), 0, "join counter nonzero after quiescence");
+}
+
 /// W5 scenario (progress through the injector): a task is pushed into
 /// the injector, then `workers` virtual workers each run one
 /// check-and-take round exactly like `pool.rs`'s idle path (lock-free

@@ -19,7 +19,7 @@ use loom::model::{explore, Options};
 use nabbitc_check::model::{
     check_accounting, check_batch_accounting, check_linearizable, run_batch_scenario,
     run_colored_batch_prefix, run_injector_progress, run_injector_racing_push, run_join_protocol,
-    run_pending_protocol, run_push_batch_publication, run_scenario,
+    run_pending_protocol, run_push_batch_publication, run_scenario, run_static_join,
     run_steal_batch_races_owner_pops, ScenarioCfg,
 };
 use nabbitc_check::spec::Op;
@@ -295,6 +295,32 @@ fn join_counter_enqueues_exactly_once_two_preds() {
     if let Some(v) = report.violation {
         panic!(
             "join protocol violated after {} executions: {} (trail {:?})",
+            report.iterations, v.message, v.trail
+        );
+    }
+    assert!(report.completed > 0);
+}
+
+#[test]
+fn static_join_fires_exactly_once_two_preds() {
+    // The static executor's pre-scanned counter: two predecessors race
+    // their notifies; exactly one fires and it sees both effects.
+    let report = explore(Options::from_env(), || run_static_join(2));
+    if let Some(v) = report.violation {
+        panic!(
+            "static join violated after {} executions: {} (trail {:?})",
+            report.iterations, v.message, v.trail
+        );
+    }
+    assert!(report.completed > 0);
+}
+
+#[test]
+fn static_join_fires_exactly_once_three_preds() {
+    let report = explore(Options::from_env(), || run_static_join(3));
+    if let Some(v) = report.violation {
+        panic!(
+            "static join violated after {} executions: {} (trail {:?})",
             report.iterations, v.message, v.trail
         );
     }

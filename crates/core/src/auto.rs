@@ -1,17 +1,16 @@
 //! Autocolor integration: executors that infer their own colors.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! * [`StaticExecutor::execute_auto`] — **the default static path**: run
 //!   any pre-built [`TaskGraph`] under colors inferred by the
 //!   [`AutoSelect`] meta-assigner, which evaluates its whole portfolio
 //!   and keeps the per-graph winner (edge-cut partitioning on stencils,
 //!   level-aware partitioning on wavefronts) — no strategy choice needed
-//!   from the caller;
-//! * [`StaticExecutor::execute_autocolored`] — the same, under an
-//!   *explicit* [`ColorAssigner`] for callers who already know which
-//!   objective fits their shape (or want to sweep strategies, as the
-//!   benches do);
+//!   from the caller. Callers who already know which objective fits their
+//!   shape (or sweep strategies, as the benches do) color with an
+//!   explicit assigner instead — `autocolor(&graph, &assigner, p)` — and
+//!   hand the result to [`StaticExecutor::execute`];
 //! * [`AutoColoredSpec`] — wrap any [`TaskSpec`] so its `color()` is
 //!   answered by an [`OnlineAssigner`] (predecessor-majority vote with
 //!   discovery hints and a load cap — hints carry affinity down the
@@ -22,54 +21,25 @@
 //!   task specs whose author never thought about NUMA:
 //!   `DynamicExecutor::new(pool, Arc::new(AutoColoredSpec::new(spec, p)))`.
 //!
-//! All keep the scheduling machinery untouched — autocolor only changes
+//! Both keep the scheduling machinery untouched — autocolor only changes
 //! *which* color a task carries, never the stealing protocol.
 
 use crate::dynamic::TaskSpec;
 use crate::report::RunReport;
 use crate::static_exec::StaticExecutor;
-use nabbitc_autocolor::{apply_assignment, autocolor, AutoSelect, ColorAssigner, OnlineAssigner};
+use nabbitc_autocolor::{apply_assignment, AutoSelect, OnlineAssigner};
 use nabbitc_color::Color;
 use nabbitc_graph::{NodeId, TaskGraph};
 use std::sync::Arc;
 use std::time::Instant;
 
 impl StaticExecutor {
-    /// Executes `graph` under colors inferred by `assigner` (for this
-    /// pool's worker count), instead of the graph's own colors. The
-    /// graph's accesses are re-homed to the inferred colors (first-touch
-    /// placement), so the remote-access report prices the inferred
-    /// placement.
-    ///
-    /// Returns the report (with
-    /// [`coloring_elapsed`](RunReport::coloring_elapsed) set to the
-    /// assignment's wall-clock cost) plus the recolored graph, which
-    /// callers should reuse when executing repeatedly (assignment is the
-    /// expensive part).
-    pub fn execute_autocolored<K>(
-        &self,
-        graph: &TaskGraph,
-        assigner: &dyn ColorAssigner,
-        kernel: Arc<K>,
-    ) -> (RunReport, Arc<TaskGraph>)
-    where
-        K: Fn(NodeId, usize) + Send + Sync + 'static,
-    {
-        let coloring_started = Instant::now();
-        let recolored = Arc::new(autocolor(graph, assigner, self.pool().workers()));
-        let coloring_elapsed = coloring_started.elapsed();
-        let mut report = self.execute(&recolored, kernel);
-        report.coloring_elapsed = Some(coloring_elapsed);
-        (report, recolored)
-    }
-
     /// Executes `graph` under the default inferred coloring: the
     /// [`AutoSelect`] portfolio picks the assigner whose assignment the
     /// makespan estimator scores best for this pool's worker count. This
     /// is the entry point for callers with no data-distribution argument
     /// at all — the meta-selection makes the stencil-vs-wavefront
-    /// strategy choice that [`execute_autocolored`] pushes onto the
-    /// caller.
+    /// strategy choice for them.
     ///
     /// Candidates are scored with the executor's cost model and topology
     /// ([`ExecOptions::cost`](crate::ExecOptions) /
@@ -86,8 +56,6 @@ impl StaticExecutor {
     /// wall-clock cost), and
     /// [`coloring_elapsed`](RunReport::coloring_elapsed) covers the whole
     /// coloring phase (selection plus applying the winner).
-    ///
-    /// [`execute_autocolored`]: StaticExecutor::execute_autocolored
     pub fn execute_auto<K>(&self, graph: &TaskGraph, kernel: Arc<K>) -> (RunReport, Arc<TaskGraph>)
     where
         K: Fn(NodeId, usize) + Send + Sync + 'static,
@@ -210,8 +178,9 @@ impl<S: TaskSpec> TaskSpec for AutoColoredSpec<S> {
 mod tests {
     use super::*;
     use crate::dynamic::DynamicExecutor;
+    use crate::static_exec::tests::execute_checked;
     use crate::static_exec::ExecOptions;
-    use nabbitc_autocolor::{RecursiveBisection, RoundRobin};
+    use nabbitc_autocolor::{autocolor, RecursiveBisection, RoundRobin};
     use nabbitc_graph::analysis::edge_cut;
     use nabbitc_graph::generate;
     use nabbitc_runtime::{Pool, PoolConfig};
@@ -219,25 +188,10 @@ mod tests {
 
     #[test]
     fn static_autocolored_executes_every_node_once() {
-        let graph = Arc::new(generate::wavefront(16, 16, 2, 1)); // monochrome input
-        let pool = Arc::new(Pool::new(PoolConfig::nabbitc(4)));
-        let exec = StaticExecutor::new(pool).with_options(ExecOptions {
-            record_trace: true,
-            count_remote: true,
-            ..ExecOptions::default()
-        });
-        let counts: Arc<Vec<AtomicU32>> =
-            Arc::new((0..graph.node_count()).map(|_| AtomicU32::new(0)).collect());
-        let c2 = counts.clone();
-        let (report, recolored) = exec.execute_autocolored(
-            &graph,
-            &RecursiveBisection::default(),
-            Arc::new(move |u: NodeId, _w: usize| {
-                c2[u as usize].fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        report.trace.validate(&recolored).expect("valid trace");
+        let graph = generate::wavefront(16, 16, 2, 1); // monochrome input
+        let exec = StaticExecutor::new(Arc::new(Pool::new(PoolConfig::nabbitc(4))));
+        let recolored = Arc::new(autocolor(&graph, &RecursiveBisection::default(), 4));
+        execute_checked(&exec, &recolored);
         // The inferred coloring actually uses the machine.
         let mut used: Vec<Color> = recolored.nodes().map(|u| recolored.color(u)).collect();
         used.sort_unstable();
@@ -251,15 +205,15 @@ mod tests {
         use nabbitc_autocolor::CpLevelAware;
         use nabbitc_graph::analysis::{level_profile, level_serialization};
         let workers = 4;
-        let graph = Arc::new(generate::wavefront(16, 16, 2, 1)); // monochrome input
+        let graph = generate::wavefront(16, 16, 2, 1); // monochrome input
         let pool = Arc::new(Pool::new(PoolConfig::nabbitc(workers)));
         let exec = StaticExecutor::new(pool);
         let counts: Arc<Vec<AtomicU32>> =
             Arc::new((0..graph.node_count()).map(|_| AtomicU32::new(0)).collect());
         let c2 = counts.clone();
-        let (_report, recolored) = exec.execute_autocolored(
-            &graph,
-            &CpLevelAware::default(),
+        let recolored = Arc::new(autocolor(&graph, &CpLevelAware::default(), workers));
+        exec.execute(
+            &recolored,
             Arc::new(move |u: NodeId, _w: usize| {
                 c2[u as usize].fetch_add(1, Ordering::SeqCst);
             }),
@@ -341,13 +295,13 @@ mod tests {
 
     #[test]
     fn static_autocolored_bisection_cuts_less_than_round_robin() {
-        let graph = Arc::new(generate::iterated_stencil(10, 64, 2, 1));
-        let pool = Arc::new(Pool::new(PoolConfig::nabbitc(4)));
-        let exec = StaticExecutor::new(pool);
-        let noop = Arc::new(|_u: NodeId, _w: usize| {});
-        let (_, g_bisect) =
-            exec.execute_autocolored(&graph, &RecursiveBisection::default(), noop.clone());
-        let (_, g_rr) = exec.execute_autocolored(&graph, &RoundRobin, noop);
+        let graph = generate::iterated_stencil(10, 64, 2, 1);
+        let exec = StaticExecutor::new(Arc::new(Pool::new(PoolConfig::nabbitc(4))));
+        let g_bisect = Arc::new(autocolor(&graph, &RecursiveBisection::default(), 4));
+        let g_rr = Arc::new(autocolor(&graph, &RoundRobin, 4));
+        for g in [&g_bisect, &g_rr] {
+            exec.execute(g, Arc::new(|_u: NodeId, _w: usize| {}));
+        }
         assert!(edge_cut(&g_bisect) < edge_cut(&g_rr));
     }
 

@@ -30,7 +30,7 @@ use crate::join::JoinCounter;
 use crate::metrics::{RemoteAccessReport, RemoteCounters};
 use crate::spawn::{spawn_colors, ColoredItem};
 use nabbitc_color::{Color, ColorSet};
-use nabbitc_runtime::sync::{AtomicU64, Mutex, Ordering, RwLock};
+use nabbitc_runtime::sync::{Mutex, RwLock};
 use nabbitc_runtime::{Pool, PoolStats, WorkerContext};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -138,8 +138,7 @@ pub struct DynamicReport {
 struct DynState<S: TaskSpec> {
     spec: Arc<S>,
     table: NodeTable<S::Key>,
-    remote: Option<RemoteCounters>,
-    executed: AtomicU64,
+    remote: RemoteCounters,
 }
 
 enum Work<S: TaskSpec> {
@@ -161,36 +160,21 @@ impl<S: TaskSpec> ColoredItem for Work<S> {
 pub struct DynamicExecutor<S: TaskSpec> {
     pool: Arc<Pool>,
     spec: Arc<S>,
-    count_remote: bool,
 }
 
 impl<S: TaskSpec> DynamicExecutor<S> {
     /// Creates an executor for `spec` on `pool`.
     pub fn new(pool: Arc<Pool>, spec: Arc<S>) -> Self {
-        DynamicExecutor {
-            pool,
-            spec,
-            count_remote: true,
-        }
-    }
-
-    /// Enables/disables remote-access accounting.
-    pub fn with_remote_counting(mut self, on: bool) -> Self {
-        self.count_remote = on;
-        self
+        DynamicExecutor { pool, spec }
     }
 
     /// Executes the computation rooted at `sink`: everything the sink
     /// transitively depends on runs exactly once, in dependence order.
     pub fn execute(&self, sink: S::Key) -> DynamicReport {
-        let workers = self.pool.workers();
         let state: Arc<DynState<S>> = Arc::new(DynState {
             spec: self.spec.clone(),
             table: NodeTable::new(),
-            remote: self
-                .count_remote
-                .then(|| RemoteCounters::new(self.pool.topology().clone(), workers)),
-            executed: AtomicU64::new(0),
+            remote: RemoteCounters::new(self.pool.topology().clone(), self.pool.workers()),
         });
 
         self.pool.reset_stats();
@@ -208,6 +192,8 @@ impl<S: TaskSpec> DynamicExecutor<S> {
         let elapsed = started.elapsed();
         // The job only terminates when every spawned task finished; verify
         // the sink actually computed (the paper's completion criterion).
+        // Every node in the table is then an ancestor of a computed node,
+        // so the table's size is the executed-node count.
         let (sink_node, created) = state.table.get_or_create(&sink, self.spec.color(&sink));
         assert!(!created, "sink vanished from the node table");
         assert_eq!(
@@ -215,17 +201,11 @@ impl<S: TaskSpec> DynamicExecutor<S> {
             COMPUTED,
             "sink did not complete"
         );
-        let nodes_executed = state.executed.load(Ordering::SeqCst);
-        debug_assert_eq!(nodes_executed as usize, state.table.len());
 
         DynamicReport {
             elapsed,
-            nodes_executed,
-            remote: state
-                .remote
-                .as_ref()
-                .map(|r| r.report())
-                .unwrap_or_default(),
+            nodes_executed: state.table.len() as u64,
+            remote: state.remote.report(),
             stats: self.pool.stats(),
         }
     }
@@ -334,18 +314,15 @@ fn compute_and_notify<S: TaskSpec>(
         debug_assert_eq!(node.join.pending(), 0);
         let me = ctx.worker_id();
 
-        if let Some(rc) = &state.remote {
-            let pred_colors: Vec<Color> = state
-                .spec
-                .predecessors(&node.key)
-                .iter()
-                .map(|k| state.spec.color(k))
-                .collect();
-            rc.record_node(me, node.color, pred_colors);
-        }
+        let pred_colors: Vec<Color> = state
+            .spec
+            .predecessors(&node.key)
+            .iter()
+            .map(|k| state.spec.color(k))
+            .collect();
+        state.remote.record_node(me, node.color, pred_colors);
 
         state.spec.compute(&node.key, me);
-        state.executed.fetch_add(1, Ordering::Relaxed);
 
         // Publish COMPUTED and take the waiters atomically.
         let waiting = {
@@ -393,6 +370,7 @@ mod tests {
     use super::*;
     use nabbitc_runtime::PoolConfig;
     use parking_lot::Mutex as PlMutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Pascal-triangle style DAG: key (i, j) depends on (i-1, j-1) and
     /// (i-1, j) when in range. Sink (n, k) pulls in a triangle of nodes.

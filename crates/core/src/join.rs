@@ -1,6 +1,7 @@
-//! The dynamic protocol's join counter — the paper's readiness arbiter.
+//! The join counter — the paper's readiness arbiter, shared by both
+//! executors.
 //!
-//! A node's counter is initialized with a +1 *initialization bias* while
+//! In the dynamic protocol a node's counter is initialized with a +1 *initialization bias* while
 //! its predecessor list is being scanned (`begin_scan`), so the node
 //! cannot fire mid-scan no matter how fast predecessors complete. Each
 //! completing predecessor decrements once (`notify`); the scanning
@@ -9,6 +10,11 @@
 //! owns the compute — exactly one of them can, which is the exactly-once
 //! enqueue guarantee the `nabbitc-check` join scenario verifies over all
 //! bounded interleavings.
+//!
+//! The static executor knows every in-degree before the run, so its
+//! counters start life already scanned ([`JoinCounter::scanned`]: a plain
+//! initialization, no bias, no RMW) and only ever see `notify`; the
+//! `nabbitc-check` static-join scenario verifies that shape separately.
 //!
 //! Orderings: the init store is `SeqCst` (it races nothing — the node is
 //! not yet published to any predecessor's successor list — but it seeds
@@ -46,6 +52,18 @@ impl JoinCounter {
     pub fn new() -> Self {
         JoinCounter {
             count: AtomicI64::new(0),
+        }
+    }
+
+    /// A counter for a node whose `preds` dependences are all known and
+    /// none satisfied yet — the static executor's pre-built graph, where
+    /// the scan is finished before the run starts. A plain initialization
+    /// (no atomic write), published to the workers by the pool's job
+    /// hand-off; each predecessor then calls [`notify`](Self::notify)
+    /// once. A node with no predecessors never fires through the counter.
+    pub fn scanned(preds: usize) -> Self {
+        JoinCounter {
+            count: AtomicI64::new(preds as i64),
         }
     }
 
@@ -112,6 +130,16 @@ mod tests {
         j.begin_scan(1);
         assert!(!j.end_scan(0), "pred outstanding: scanner must not fire");
         assert!(j.notify(), "last dependence owns the compute");
+        assert_eq!(j.pending(), 0);
+    }
+
+    #[test]
+    fn scanned_counter_fires_on_the_last_notify() {
+        let j = JoinCounter::scanned(3);
+        assert_eq!(j.pending(), 3);
+        assert!(!j.notify());
+        assert!(!j.notify());
+        assert!(j.notify(), "last predecessor owns the compute");
         assert_eq!(j.pending(), 0);
     }
 

@@ -3,7 +3,8 @@
 //!
 //! [`static_exec::StaticExecutor`] executes a pre-built
 //! [`TaskGraph`](nabbitc_graph::TaskGraph): every node known up front,
-//! readiness tracked with atomic join counters. This is the path the
+//! readiness tracked with one [`JoinCounter`] per node, built already
+//! scanned at the node's in-degree. This is the path the
 //! paper's benchmarks exercise (their task graphs are fully determined by
 //! the problem configuration).
 //!
@@ -12,7 +13,9 @@
 //! key plus a predecessor function; nodes are created lazily as they are
 //! discovered, racing threads arbitrate creation through a concurrent node
 //! table, and late arrivals enqueue themselves on a predecessor's successor
-//! list (the `try_init_compute` path of the paper's Figure 4).
+//! list (the `try_init_compute` path of the paper's Figure 4). Its
+//! readiness arbiter is the same [`JoinCounter`], armed with a +1
+//! initialization bias while a node's predecessors are scanned.
 //!
 //! Both executors route every batch spawn through [`spawn`] —
 //! `gather_colors` + `spawn_colors`, the *morphing continuation* mechanism
@@ -21,7 +24,7 @@
 //! stealable tasks tagged with exactly their color sets.
 //!
 //! [`metrics`] implements the paper's §V-B node-granularity remote-access
-//! accounting; [`coloring`] the Correct / Bad (Table II) / Invalid
+//! accounting, counted on every run of both executors; [`coloring`] the Correct / Bad (Table II) / Invalid
 //! (Table III) coloring strategies; [`auto`] hooks the
 //! `nabbitc-autocolor` subsystem into both executors so graphs and specs
 //! without hand-written colors still schedule locality-aware.

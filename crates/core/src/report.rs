@@ -1,25 +1,19 @@
-//! The unified run report: every observable of one executor run in one
-//! struct.
-//!
-//! Before this module the pieces were scattered — wall clock on the old
-//! `StaticReport`, scheduler counters on
-//! [`PoolStats`], remote-access percentages on
-//! [`RemoteAccessReport`], and the autocolor
-//! [`SelectionReport`] dropped on the
-//! floor by `execute_auto`. [`RunReport`] aggregates all of them, plus the
-//! coloring wall-clock and the runtime event trace, so a harness can print
-//! or serialize one value per run.
+//! The unified run report: every observable of one static-executor run
+//! in one struct — wall clock, scheduler counters ([`PoolStats`]), the
+//! §V-B remote-access percentages ([`RemoteAccessReport`]), the runtime
+//! event trace, and for `execute_auto` the coloring wall-clock and the
+//! autocolor [`SelectionReport`] — so a harness can print or serialize
+//! one value per run.
 
 use crate::metrics::RemoteAccessReport;
 use nabbitc_autocolor::SelectionReport;
-use nabbitc_graph::trace::Trace;
 use nabbitc_runtime::{PoolStats, RuntimeTrace};
 use std::time::Duration;
 
 /// Everything one executor run produced, in one place.
 ///
 /// Returned by [`StaticExecutor::execute`](crate::StaticExecutor::execute)
-/// and both autocolored entry points. Fields that a given entry point
+/// and [`execute_auto`](crate::StaticExecutor::execute_auto). Fields that a given entry point
 /// cannot populate are `None` / empty defaults: a plain `execute` has no
 /// coloring phase and no selection; a run on an untraced pool has no
 /// runtime trace.
@@ -31,14 +25,10 @@ pub struct RunReport {
     /// Wall-clock time spent inferring and applying colors before the run
     /// (`None` when the graph's own colors were used).
     pub coloring_elapsed: Option<Duration>,
-    /// Remote-access accounting (zeros unless
-    /// [`ExecOptions::count_remote`](crate::ExecOptions)).
+    /// Remote-access accounting (§V-B), counted on every run.
     pub remote: RemoteAccessReport,
     /// Scheduler statistics for this run (steals, first-work waits, ...).
     pub stats: PoolStats,
-    /// Per-node execution trace (empty unless
-    /// [`ExecOptions::record_trace`](crate::ExecOptions)).
-    pub trace: Trace,
     /// Runtime event trace — per-worker spawn/exec/steal/idle events —
     /// when the pool was built with tracing enabled
     /// ([`TraceConfig`](nabbitc_runtime::TraceConfig)), `None` otherwise.

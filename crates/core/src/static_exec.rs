@@ -1,11 +1,12 @@
 //! Executor for pre-built task graphs.
 //!
 //! All nodes of a [`TaskGraph`] are known up front, so readiness is tracked
-//! with per-node atomic join counters instead of the dynamic node table:
-//! when a node finishes, it decrements each successor's counter and the
-//! worker that brings a counter to zero takes responsibility for spawning
-//! the successor (Nabbit's `compute_and_notify` restated as dataflow; see
-//! DESIGN.md "Reality substitutions").
+//! with one [`JoinCounter`] per node, built already scanned at the node's
+//! in-degree, instead of the dynamic node table: when a node finishes, it
+//! notifies each successor's counter and the worker whose notify reaches
+//! zero takes responsibility for spawning the successor (Nabbit's
+//! `compute_and_notify` restated as dataflow; see DESIGN.md "Reality
+//! substitutions").
 //!
 //! Every batch of ready nodes — the sources at the start of the job, and
 //! each node's newly-ready successors — flows through
@@ -16,13 +17,12 @@
 //! paper's baseline which runs the same task graph under plain Cilk
 //! stealing).
 
+use crate::join::JoinCounter;
 use crate::metrics::RemoteCounters;
 use crate::report::RunReport;
 use crate::spawn::{spawn_colors, ColoredItem};
 use nabbitc_color::{Color, ColorSet};
-use nabbitc_graph::trace::{Trace, TraceEvent};
 use nabbitc_graph::{NodeId, TaskGraph};
-use nabbitc_runtime::sync::{AtomicU32, AtomicU64, Mutex, Ordering};
 use nabbitc_runtime::{Pool, WorkerContext};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,11 +30,6 @@ use std::time::Instant;
 /// Execution options.
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
-    /// Record a full execution trace (adds per-node clock reads + a lock).
-    pub record_trace: bool,
-    /// Count remote accesses with the §V-B metric (cheap; on by default in
-    /// the benchmark harnesses).
-    pub count_remote: bool,
     /// Cost model used wherever this executor prices a schedule — today
     /// that is [`execute_auto`](StaticExecutor::execute_auto)'s
     /// `AutoSelect` scoring (cross-color edges priced as remote-byte
@@ -82,15 +77,9 @@ pub enum LintGate {
 
 struct ExecState<K: ?Sized> {
     graph: Arc<TaskGraph>,
-    join: Vec<AtomicU32>,
+    join: Vec<JoinCounter>,
     kernel: Arc<K>,
-    remote: Option<RemoteCounters>,
-    trace: Option<TraceState>,
-}
-
-struct TraceState {
-    origin: Instant,
-    events: Vec<Mutex<Vec<TraceEvent>>>, // per worker
+    remote: RemoteCounters,
 }
 
 /// A work item: node id + its color (colors are read out of the graph once
@@ -115,17 +104,11 @@ pub struct StaticExecutor {
 }
 
 impl StaticExecutor {
-    /// Creates an executor on `pool`.
+    /// Creates an executor on `pool` with [`ExecOptions::default`].
     pub fn new(pool: Arc<Pool>) -> Self {
         StaticExecutor {
             pool,
-            options: ExecOptions {
-                record_trace: false,
-                count_remote: true,
-                cost: nabbitc_cost::CostModel::default(),
-                topology: None,
-                lint: LintGate::Off,
-            },
+            options: ExecOptions::default(),
         }
     }
 
@@ -157,33 +140,21 @@ impl StaticExecutor {
     where
         K: Fn(NodeId, usize) + Send + Sync + 'static,
     {
-        let n = graph.node_count();
-        let workers = self.pool.workers();
         let state = Arc::new(ExecState {
             graph: graph.clone(),
-            join: (0..n)
-                .map(|u| AtomicU32::new(graph.in_degree(u as NodeId) as u32))
+            join: graph
+                .nodes()
+                .map(|u| JoinCounter::scanned(graph.in_degree(u)))
                 .collect(),
             kernel,
-            remote: self
-                .options
-                .count_remote
-                .then(|| RemoteCounters::new(self.pool.topology().clone(), workers)),
-            trace: self.options.record_trace.then(|| TraceState {
-                origin: Instant::now(),
-                events: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            }),
+            remote: RemoteCounters::new(self.pool.topology().clone(), self.pool.workers()),
         });
-
-        // Executed-node counter defends against double execution in debug.
-        let executed = Arc::new(AtomicU64::new(0));
 
         self.pool.reset_stats();
         self.pool.reset_trace();
         let started = Instant::now();
         {
             let state = state.clone();
-            let executed = executed.clone();
             let root_colors: ColorSet = graph.sources().iter().map(|&u| graph.color(u)).collect();
             self.pool.run(root_colors, move |ctx| {
                 let sources: Vec<Item> = state
@@ -193,38 +164,22 @@ impl StaticExecutor {
                     .map(|u| Item(u, state.graph.color(u)))
                     .collect();
                 let st = state.clone();
-                let ex = executed.clone();
                 spawn_colors(
                     ctx,
                     sources,
                     Arc::new(move |ctx: &mut WorkerContext<'_>, item: Item| {
-                        process_node(&st, &ex, ctx, item.0);
+                        process_node(&st, ctx, item.0);
                     }),
                 );
             });
         }
         let elapsed = started.elapsed();
 
-        debug_assert_eq!(executed.load(Ordering::SeqCst), n as u64);
-
-        let state = Arc::try_unwrap(state)
-            .unwrap_or_else(|_| panic!("executor state leaked past job completion"));
-        let trace = match state.trace {
-            Some(ts) => Trace {
-                events: ts.events.into_iter().flat_map(|m| m.into_inner()).collect(),
-            },
-            None => Trace::default(),
-        };
         RunReport {
             elapsed,
             coloring_elapsed: None,
-            remote: state
-                .remote
-                .as_ref()
-                .map(|r| r.report())
-                .unwrap_or_default(),
+            remote: state.remote.report(),
             stats: self.pool.stats(),
-            trace,
             runtime_trace: self
                 .pool
                 .tracing_enabled()
@@ -235,12 +190,8 @@ impl StaticExecutor {
     }
 }
 
-fn process_node<K>(
-    state: &Arc<ExecState<K>>,
-    executed: &Arc<AtomicU64>,
-    ctx: &mut WorkerContext<'_>,
-    mut u: NodeId,
-) where
+fn process_node<K>(state: &Arc<ExecState<K>>, ctx: &mut WorkerContext<'_>, mut u: NodeId)
+where
     K: Fn(NodeId, usize) + Send + Sync + 'static,
 {
     let g = &state.graph;
@@ -249,38 +200,18 @@ fn process_node<K>(
     // recursing so chain-shaped graphs cannot overflow the stack.
     loop {
         let me = ctx.worker_id();
-
-        if let Some(rc) = &state.remote {
-            rc.record_node(
-                me,
-                g.color(u),
-                g.predecessors(u).iter().map(|&p| g.color(p)),
-            );
-        }
-
-        let start_ns = state
-            .trace
-            .as_ref()
-            .map(|t| t.origin.elapsed().as_nanos() as u64);
-
+        state.remote.record_node(
+            me,
+            g.color(u),
+            g.predecessors(u).iter().map(|&p| g.color(p)),
+        );
         (state.kernel)(u, me);
-        executed.fetch_add(1, Ordering::Relaxed);
-
-        if let (Some(ts), Some(start)) = (&state.trace, start_ns) {
-            let end = ts.origin.elapsed().as_nanos() as u64;
-            ts.events[me].lock().push(TraceEvent {
-                node: u,
-                worker: me,
-                start,
-                end,
-            });
-        }
 
         // compute_and_notify: release successors; newly-ready ones are
         // spawned through the color-aware path.
         let mut ready: Vec<Item> = Vec::new();
         for &s in g.successors(u) {
-            if state.join[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+            if state.join[s as usize].notify() {
                 ready.push(Item(s, g.color(s)));
             }
         }
@@ -291,12 +222,11 @@ fn process_node<K>(
             }
             _ => {
                 let st = state.clone();
-                let ex = executed.clone();
                 spawn_colors(
                     ctx,
                     ready,
                     Arc::new(move |ctx: &mut WorkerContext<'_>, item: Item| {
-                        process_node(&st, &ex, ctx, item.0);
+                        process_node(&st, ctx, item.0);
                     }),
                 );
                 return;
@@ -306,34 +236,44 @@ fn process_node<K>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nabbitc_graph::generate;
     use nabbitc_runtime::{NumaTopology, PoolConfig, StealPolicy};
-    use std::sync::atomic::AtomicU32 as A32;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    fn run_and_check(graph: TaskGraph, pool: Pool) -> RunReport {
-        let graph = Arc::new(graph);
-        let pool = Arc::new(pool);
-        let exec = StaticExecutor::new(pool).with_options(ExecOptions {
-            record_trace: true,
-            count_remote: true,
-            ..ExecOptions::default()
-        });
-        let counts: Arc<Vec<A32>> =
-            Arc::new((0..graph.node_count()).map(|_| A32::new(0)).collect());
-        let c2 = counts.clone();
+    /// Executes `graph` with a kernel that checks dependence order and
+    /// exactly-once execution as it runs, with one done flag per node:
+    /// node `u` asserts that every predecessor's flag is set (`end(p) <=
+    /// start(u)`), then sets its own and asserts it was unset. After the
+    /// run every flag must be set.
+    pub(crate) fn execute_checked(exec: &StaticExecutor, graph: &Arc<TaskGraph>) -> RunReport {
+        let done: Arc<Vec<AtomicBool>> =
+            Arc::new(graph.nodes().map(|_| AtomicBool::new(false)).collect());
+        let (g, d) = (graph.clone(), done.clone());
         let report = exec.execute(
-            &graph,
+            graph,
             Arc::new(move |u: NodeId, _w: usize| {
-                c2[u as usize].fetch_add(1, Ordering::SeqCst);
+                for &p in g.predecessors(u) {
+                    assert!(
+                        d[p as usize].load(Ordering::Acquire),
+                        "node {u} started before predecessor {p} finished"
+                    );
+                }
+                assert!(
+                    !d[u as usize].swap(true, Ordering::Release),
+                    "node {u} executed twice"
+                );
             }),
         );
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(Ordering::SeqCst), 1, "node {i} executed once");
+        for (u, d) in done.iter().enumerate() {
+            assert!(d.load(Ordering::Acquire), "node {u} never executed");
         }
-        report.trace.validate(&graph).expect("trace must validate");
         report
+    }
+
+    fn run_and_check(graph: TaskGraph, pool: Pool) -> RunReport {
+        execute_checked(&StaticExecutor::new(Arc::new(pool)), &Arc::new(graph))
     }
 
     #[test]
@@ -362,7 +302,7 @@ mod tests {
 
     #[test]
     fn chain_preserves_order() {
-        // A chain is fully sequential; the trace validator enforces the
+        // A chain is fully sequential; the checking kernel enforces the
         // dependence order.
         run_and_check(
             generate::chain(500, 1, 4),

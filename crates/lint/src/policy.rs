@@ -1177,29 +1177,13 @@ pub static POLICY: &[PolicyEntry] = &[
         REL,
         "publishes the cleared buffer state to subsequent readers",
     ),
-    // ------------------------------------------------------------ core/dynamic.rs
-    entry(
-        "core/dynamic.rs",
-        "execute",
-        "executed",
-        AtomicOp::Load,
-        SC,
-        "post-run accounting read after the pool job barrier; SeqCst keeps the quiescence \
-         count exact and costs nothing off the hot path",
-    ),
-    entry(
-        "core/dynamic.rs",
-        "compute_and_notify",
-        "executed",
-        AtomicOp::FetchAdd,
-        RLX,
-        "per-node completion counter read only after the job barrier; atomicity only",
-    ),
     // --------------------------------------------------------------- core/join.rs
-    // The dynamic protocol's init-bias join counter (exactly-once enqueue
-    // verified by run_join_protocol in crates/check; the nabbitc_weak_join
-    // canary drops the bias and relaxes the scan side, and must be
-    // rejected here statically).
+    // The join counter both executors share: the dynamic protocol's
+    // init-bias scan (exactly-once enqueue verified by run_join_protocol
+    // in crates/check; the nabbitc_weak_join canary drops the bias and
+    // relaxes the scan side, and must be rejected here statically) and
+    // the static executor's pre-scanned counters, which only `notify`
+    // (verified by run_static_join).
     entry(
         "core/join.rs",
         "begin_scan",
@@ -1311,35 +1295,6 @@ pub static POLICY: &[PolicyEntry] = &[
         AtomicOp::Load,
         RLX,
         "post-run aggregation over quiescent counters",
-    ),
-    // -------------------------------------------------------- core/static_exec.rs
-    entry(
-        "core/static_exec.rs",
-        "execute",
-        "executed",
-        AtomicOp::Load,
-        SC,
-        "quiescence debug_assert after the pool job barrier; SeqCst keeps it exact",
-    ),
-    entry(
-        "core/static_exec.rs",
-        "process_node",
-        "executed",
-        AtomicOp::FetchAdd,
-        RLX,
-        "completion counter read only after the job barrier; atomicity only",
-    ),
-    pentry(
-        "core/static_exec.rs",
-        "process_node",
-        "join",
-        AtomicOp::FetchSub,
-        AR,
-        &["core/static_exec.rs::process_node::join.fetch_sub"],
-        "successor-readiness decrement: Release publishes this node's output writes into \
-         the counter's release sequence (its own prior decrements — hence the self pair), \
-         and the firing Acquire decrement synchronizes with every predecessor; the same \
-         shape run_join_protocol verifies for the dynamic counter",
     ),
     // ------------------------------------------------------------- parfor/team.rs
     entry(

@@ -22,8 +22,8 @@ use crate::sync::{fence, AtomicU32, AtomicU64, Ordering};
 
 /// Version of the trace record layout and of the Chrome export produced
 /// from it. Bumped whenever [`TraceRecord`] fields or the exported JSON
-/// keys change; the bench harness stamps it into every `BENCH_*.json` so
-/// trajectory tooling can detect incompatible records.
+/// keys change, so tooling that stores or compares exported traces can
+/// detect incompatible records.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Tracing configuration, carried on

@@ -12,8 +12,8 @@
 //! * [`generate`] — seeded generators (chains, diamonds, layered random
 //!   DAGs, wavefronts, trees) used by tests and benchmarks;
 //! * [`serial`] — a reference sequential executor;
-//! * [`trace`] — execution trace recording and dependence validation used to
-//!   check every scheduler in this workspace against the DAG semantics.
+//! * [`trace`] — dependence validation of an execution order against the
+//!   DAG semantics.
 //!
 //! [`Color`]: nabbitc_color::Color
 

@@ -436,13 +436,14 @@ pub(crate) fn spawn_vthread<T: Send + 'static>(
         .name(format!("loom-vthread-{tid}"))
         .spawn(move || {
             tls_install(rt2.clone(), tid);
-            // Wait to be scheduled for the first time.
-            {
-                let st = lock(&rt2);
-                let st = wait_for_token_or_abort(&rt2, st, tid);
-                drop(st);
-            }
-            let r = catch_unwind(AssertUnwindSafe(f));
+            // Wait to be scheduled for the first time, inside the unwind
+            // guard: an execution that aborts before this thread ever ran
+            // must still mark it finished below, or `run_once`'s wind-down
+            // waits for it forever.
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                drop(wait_for_token_or_abort(&rt2, lock(&rt2), tid));
+                f()
+            }));
             // Thread exit: drain the store buffer (a real thread join has
             // release semantics), publish the result, wake joiners.
             let mut st = lock(&rt2);

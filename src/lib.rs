@@ -90,10 +90,11 @@
 //! println!("selected strategy: {}", selection.chosen_name());
 //! ```
 //!
-//! To pin one strategy instead (as the benches do when sweeping), pass it
-//! to `execute_autocolored` explicitly — e.g.
-//! [`RecursiveBisection`](autocolor::RecursiveBisection) for pure
-//! edge-cut minimization.
+//! To pin one strategy instead (as the benches do when sweeping), color
+//! with it explicitly — `autocolor(&graph, &RecursiveBisection::default(),
+//! p)` for pure edge-cut minimization with
+//! [`RecursiveBisection`](autocolor::RecursiveBisection) — and pass the
+//! recolored graph to `execute`.
 //!
 //! ### The cost model
 //!
@@ -151,11 +152,10 @@
 //!
 //! Every executor run returns one [`RunReport`](core::RunReport):
 //! execution wall-clock (`elapsed`), coloring wall-clock
-//! (`coloring_elapsed`, autocolored paths only), the §V-B remote-access
-//! percentages (`remote`), per-worker scheduler counters (`stats`), the
-//! per-node execution trace (`trace`, behind
-//! [`ExecOptions::record_trace`](core::ExecOptions)), the runtime event
-//! trace (`runtime_trace`, see below), and the autocolor
+//! (`coloring_elapsed`, `execute_auto` only), the §V-B remote-access
+//! percentages (`remote`, counted on every run), per-worker scheduler
+//! counters (`stats`), the runtime event trace (`runtime_trace`, see
+//! below), and the autocolor
 //! [`SelectionReport`](autocolor::SelectionReport) (`selection`,
 //! `execute_auto` only).
 //!
@@ -195,14 +195,11 @@
 //! assert!(chrome_json.starts_with("{\"traceEvents\":["));
 //! ```
 //!
-//! **Wall-clock benchmarks.** `cargo run --release -p nabbitc-bench --bin
-//! wallclock` sweeps the real executor (serial / static / auto /
-//! on-demand × P) over the workload registry and writes one versioned
-//! `BENCH_<workload>.json` per workload at the repo root, recording
-//! measured speedup next to the NUMA simulator's predicted speedup (the
-//! estimator-drift trajectory). `wallclock --validate` re-parses the
-//! emitted files and checks the schema; see the README's Observability
-//! section for the key-by-key schema.
+//! **Benchmark.** `BENCHMARK.json` declares the repository's benchmark:
+//! `perfbench` times real-kernel solves (heat, Smith–Waterman static and
+//! on-demand, auto-colored PageRank) on the real executors, checks each
+//! solve's output, and splits the time by layer; see
+//! `perfbench/README.md`.
 
 pub use nabbitc_autocolor as autocolor;
 pub use nabbitc_color as color;

@@ -43,9 +43,9 @@ fn static_values(g: &Arc<TaskGraph>, assigner: &dyn ColorAssigner, workers: usiz
     let vals: Arc<Vec<AtomicU64>> =
         Arc::new((0..g.node_count()).map(|_| AtomicU64::new(0)).collect());
     let (v2, g2) = (vals.clone(), g.clone());
-    let (_report, recolored) = exec.execute_autocolored(
-        g,
-        assigner,
+    let recolored = Arc::new(autocolor(g, assigner, workers));
+    exec.execute(
+        &recolored,
         Arc::new(move |u: NodeId, _w: usize| {
             let val = node_value(
                 u,

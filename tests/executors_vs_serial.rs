@@ -2,7 +2,8 @@
 //! under both scheduler policies with all dependences respected, and the
 //! runnable kernels produce results identical to their serial references.
 
-use nabbitc::core::{ExecOptions, StaticExecutor};
+mod common;
+
 use nabbitc::graph::trace::order_respects_dependences;
 use nabbitc::prelude::*;
 use nabbitc::workloads::{
@@ -10,21 +11,16 @@ use nabbitc::workloads::{
     registry, sw::SwProblem, BenchId, Scale,
 };
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-fn traced_executor(workers: usize, policy: StealPolicy) -> StaticExecutor {
+fn executor(workers: usize, policy: StealPolicy) -> StaticExecutor {
     let topo = NumaTopology::new(2, workers.div_ceil(2).max(1));
     let pool = Arc::new(Pool::new(
         PoolConfig::nabbitc(workers)
             .with_topology(topo)
             .with_policy(policy),
     ));
-    StaticExecutor::new(pool).with_options(ExecOptions {
-        record_trace: true,
-        count_remote: true,
-        ..ExecOptions::default()
-    })
+    StaticExecutor::new(pool)
 }
 
 #[test]
@@ -32,25 +28,8 @@ fn all_benchmarks_execute_with_valid_traces_nabbitc() {
     for id in BenchId::all() {
         let built = registry::build(id, Scale::Small, 6);
         let graph = Arc::new(built.graph);
-        let exec = traced_executor(6, StealPolicy::nabbitc());
-        let counts: Arc<Vec<AtomicU32>> =
-            Arc::new((0..graph.node_count()).map(|_| AtomicU32::new(0)).collect());
-        let c2 = counts.clone();
-        let report = exec.execute(
-            &graph,
-            Arc::new(move |u, _w| {
-                c2[u as usize].fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        assert!(
-            counts.iter().all(|c| c.load(Ordering::SeqCst) == 1),
-            "{}: every node exactly once",
-            id.name()
-        );
-        report
-            .trace
-            .validate(&graph)
-            .unwrap_or_else(|e| panic!("{}: invalid trace: {e}", id.name()));
+        eprintln!("{}", id.name());
+        common::execute_checked(&executor(6, StealPolicy::nabbitc()), &graph);
     }
 }
 
@@ -64,12 +43,8 @@ fn all_benchmarks_execute_with_valid_traces_nabbit() {
     ] {
         let built = registry::build(id, Scale::Small, 6);
         let graph = Arc::new(built.graph);
-        let exec = traced_executor(6, StealPolicy::nabbit());
-        let report = exec.execute(&graph, Arc::new(|_u, _w| {}));
-        report
-            .trace
-            .validate(&graph)
-            .unwrap_or_else(|e| panic!("{}: invalid trace: {e}", id.name()));
+        eprintln!("{}", id.name());
+        common::execute_checked(&executor(6, StealPolicy::nabbit()), &graph);
     }
 }
 
@@ -96,7 +71,7 @@ fn heat_kernel_matches_serial_on_both_policies() {
     };
     let serial = p.run_serial();
     for policy in [StealPolicy::nabbitc(), StealPolicy::nabbit()] {
-        let exec = traced_executor(6, policy);
+        let exec = executor(6, policy);
         let par = p.run_taskgraph(&exec);
         for (s, q) in serial.iter().zip(par.iter()) {
             assert!((s - q).abs() < 1e-12);
@@ -114,7 +89,7 @@ fn life_kernel_matches_serial() {
         seed: 7,
     };
     let serial = p.run_serial();
-    let exec = traced_executor(8, StealPolicy::nabbitc());
+    let exec = executor(8, StealPolicy::nabbitc());
     assert_eq!(serial, p.run_taskgraph(&exec));
 }
 
@@ -126,7 +101,7 @@ fn fdtd_kernel_matches_serial() {
         blocks: 32,
     };
     let (es, hs) = p.run_serial();
-    let exec = traced_executor(6, StealPolicy::nabbitc());
+    let exec = executor(6, StealPolicy::nabbitc());
     let (ep, hp) = p.run_taskgraph(&exec);
     for i in 0..p.n {
         assert!((es[i] - ep[i]).abs() < 1e-12);
@@ -138,7 +113,7 @@ fn fdtd_kernel_matches_serial() {
 fn pagerank_kernel_matches_serial() {
     let pr = PageRank::small();
     let serial = pr.run_serial();
-    let exec = traced_executor(8, StealPolicy::nabbitc());
+    let exec = executor(8, StealPolicy::nabbitc());
     let par = pr.run_taskgraph(&exec);
     for (s, q) in serial.iter().zip(par.iter()) {
         assert!((s - q).abs() < 1e-12);
@@ -154,7 +129,7 @@ fn sw_kernel_matches_serial() {
         tiles_m: 16,
         seed: 3,
     };
-    let exec = traced_executor(6, StealPolicy::nabbitc());
+    let exec = executor(6, StealPolicy::nabbitc());
     assert_eq!(p.run_serial(), p.run_taskgraph(&exec));
 }
 
@@ -167,7 +142,7 @@ fn cg_kernel_matches_serial() {
         iters: 3,
     };
     let (xs, rrs) = p.run_serial();
-    let exec = traced_executor(6, StealPolicy::nabbitc());
+    let exec = executor(6, StealPolicy::nabbitc());
     let (xp, rrp) = p.run_taskgraph(&exec);
     assert!((rrs - rrp).abs() / rrs.max(1e-30) < 1e-9);
     for i in 0..p.n {
@@ -182,7 +157,7 @@ fn mg_kernel_matches_serial() {
         plan: plan(2047, 8, 24),
     };
     let serial = p.run_serial();
-    let exec = traced_executor(6, StealPolicy::nabbitc());
+    let exec = executor(6, StealPolicy::nabbitc());
     let par = p.run_taskgraph(&exec);
     for i in 0..serial.len() {
         assert!((serial[i] - par[i]).abs() < 1e-12);

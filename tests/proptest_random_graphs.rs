@@ -2,12 +2,12 @@
 //! and the simulator must uphold their invariants on *any* DAG, not just
 //! the benchmark shapes.
 
-use nabbitc::core::{ExecOptions, StaticExecutor};
+mod common;
+
 use nabbitc::graph::analysis::{analyze, completion_lower_bound};
 use nabbitc::graph::{generate, serial, trace::order_respects_dependences};
 use nabbitc::prelude::*;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 proptest! {
@@ -26,20 +26,8 @@ proptest! {
         let g = Arc::new(generate::layered_random(
             layers, width, max_preds, (1, 10), 4, seed,
         ));
-        let pool = Arc::new(Pool::new(PoolConfig::nabbitc(4)));
-        let exec = StaticExecutor::new(pool).with_options(ExecOptions {
-            record_trace: true,
-            count_remote: true,
-            ..ExecOptions::default()
-        });
-        let counts: Arc<Vec<AtomicU32>> =
-            Arc::new((0..g.node_count()).map(|_| AtomicU32::new(0)).collect());
-        let c2 = counts.clone();
-        let report = exec.execute(&g, Arc::new(move |u, _w| {
-            c2[u as usize].fetch_add(1, Ordering::SeqCst);
-        }));
-        prop_assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        prop_assert!(report.trace.validate(&g).is_ok());
+        let exec = StaticExecutor::new(Arc::new(Pool::new(PoolConfig::nabbitc(4))));
+        common::execute_checked(&exec, &g);
     }
 }
 
